@@ -25,8 +25,9 @@ namespace steghide::oblivious {
 /// the store lock). The regions ping-pong across re-orders, and both are
 /// publicly dedicated to this level, so which one a rebuild targets is a
 /// deterministic function of the re-order count — data-independent.
-/// When double buffering is off, alt_base == base and installs are
-/// in-place, exactly the blocking layout.
+/// When double buffering is off, alt_base == base: a rebuild writes over
+/// the permutation scans probe and installs in place, so the store runs
+/// it to completion inside the flush that triggered it.
 struct Level {
   uint64_t base = 0;
   /// Inactive (shadow) region; == base when double buffering is off.
@@ -56,13 +57,11 @@ struct Level {
     slot_ids.push_back(id);
   }
 
-  /// Installs a post-re-order layout: `order` lists the record ids slot by
-  /// slot (all authoritative, no duplicates).
-  void InstallOrder(std::vector<RecordId> order, uint64_t index_nonce);
-
-  /// Installs a layout that was built at `new_base` (the shadow region of
-  /// a double-buffered rebuild): flips the active base to it, demoting
-  /// the old region to shadow. With new_base == base this is InstallOrder.
+  /// Installs a post-re-order layout that was built at `new_base`:
+  /// `order` lists the record ids slot by slot (all authoritative, no
+  /// duplicates). When `new_base` is the shadow region of a
+  /// double-buffered rebuild the active base flips to it, demoting the
+  /// old region to shadow; with new_base == base the install is in place.
   void InstallOrderAt(uint64_t new_base, std::vector<RecordId> order,
                       uint64_t index_nonce);
 

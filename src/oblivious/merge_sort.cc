@@ -1,9 +1,6 @@
 #include "oblivious/merge_sort.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
-#include <numeric>
 
 namespace steghide::oblivious {
 
@@ -48,16 +45,6 @@ void ExternalMergeSorter::Reset() {
   cursors_.clear();
   out_chunk_.clear();
   order_.clear();
-}
-
-Status ExternalMergeSorter::Add(uint64_t src_block, uint64_t tag,
-                                uint64_t label) {
-  Bytes block(codec_->block_size());
-  STEGHIDE_RETURN_IF_ERROR(device_->ReadBlock(src_block, block.data()));
-  cells_.reads.Increment();
-  Bytes payload(codec_->payload_size());
-  STEGHIDE_RETURN_IF_ERROR(codec_->Open(*cipher_, block.data(), payload.data()));
-  return AddInMemory(payload, tag, label);
 }
 
 Status ExternalMergeSorter::AddInMemory(const uint8_t* payload, uint64_t tag,
@@ -289,23 +276,6 @@ uint64_t ExternalMergeSorter::merge_remaining_blocks() const {
 std::vector<uint64_t> ExternalMergeSorter::TakeOrder() {
   std::vector<uint64_t> order = std::move(order_);
   order_.clear();
-  return order;
-}
-
-Result<std::vector<uint64_t>> ExternalMergeSorter::Finish(uint64_t dst_base) {
-  STEGHIDE_RETURN_IF_ERROR(BeginMerge(dst_base));
-  bool done = false;
-  while (!done) {
-    STEGHIDE_RETURN_IF_ERROR(
-        MergeStep(std::numeric_limits<uint64_t>::max(), &done));
-  }
-  std::vector<uint64_t> order = TakeOrder();
-  // Keep the legacy Finish() contract: the sorter is immediately reusable
-  // for the next blocking re-order.
-  const Stats kept = stats();
-  Reset();
-  cells_.reads.Add(kept.reads);
-  cells_.writes.Add(kept.writes);
   return order;
 }
 

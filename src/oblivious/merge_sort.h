@@ -17,21 +17,19 @@ namespace steghide::oblivious {
 /// External merge sort over sealed blocks, the re-order primitive of
 /// §5.1.2 ("we apply the external merge sort algorithm").
 ///
-/// Usage: feed blocks with Add() — each is read from the device, decrypted,
-/// and assigned the caller's 64-bit sort tag (a random tag yields a
-/// uniformly random concealed permutation). The sorter buffers up to
+/// Usage: feed decrypted payloads with AddInMemory(), each with the
+/// caller's 64-bit sort tag (a random tag yields a uniformly random
+/// concealed permutation) and an opaque label. The sorter buffers up to
 /// `run_blocks` payloads in memory (the agent's buffer), spilling sorted,
-/// re-encrypted runs to the scratch region. Finish() merges the runs in a
-/// single chunked multi-way pass into the destination region and returns
-/// the caller-supplied labels in final order.
-///
-/// The merge phase is resumable: BeginMerge() prepares it and
-/// MergeStep(budget) advances it by a bounded number of device I/Os, so a
-/// deamortized re-order can interleave merge chunks with serving.
-/// Finish() is the blocking wrapper (BeginMerge + MergeStep to completion
-/// + TakeOrder). After either, Reset() recycles the sorter — including
-/// its in-memory run and seal scratch allocations — for the next
-/// re-order.
+/// re-encrypted runs to the scratch region. BeginMerge() then arms a
+/// single chunked multi-way pass into the destination region, which
+/// MergeStep(budget) advances by a bounded number of device I/Os — a
+/// re-order job may run it in slices interleaved with serving, or with
+/// an unbounded budget in one go. TakeOrder() returns the labels in final
+/// order, and Reset() recycles the sorter — including its in-memory run
+/// and seal scratch allocations — for the next re-order. Reading the
+/// inputs off the device is the caller's job (ReorderJob reads them in
+/// vectored chunks and batch-decrypts them).
 ///
 /// I/O pattern matters more than the sort itself here: run formation and
 /// the merge read/write chunks sequentially, which is why the paper's
@@ -56,22 +54,15 @@ class ExternalMergeSorter {
                       const crypto::CbcCipher* cipher, crypto::HashDrbg* drbg,
                       uint64_t scratch_base, uint64_t run_blocks);
 
-  /// Reads the sealed block at device position `src_block`, attaching
-  /// `tag` (sort key) and `label` (opaque, returned in final order).
-  Status Add(uint64_t src_block, uint64_t tag, uint64_t label);
-
-  /// Adds an item whose payload is already in memory (e.g. the agent's
-  /// buffer contents) — no device read.
+  /// Adds an item, attaching `tag` (sort key) and `label` (opaque,
+  /// returned in final order). The payload is already in memory — the
+  /// agent's buffer contents, or a level block the caller read and
+  /// decrypted — so the add itself issues no device read.
   Status AddInMemory(const Bytes& payload, uint64_t tag, uint64_t label);
   /// Same, from a raw payload_size()-byte pointer (batch-decrypt callers
   /// slice one contiguous plaintext buffer instead of materializing a
   /// Bytes per item).
   Status AddInMemory(const uint8_t* payload, uint64_t tag, uint64_t label);
-
-  /// Merges everything to device positions [dst_base, dst_base + n) in
-  /// ascending tag order and returns the labels in that order. The sorter
-  /// is spent afterwards (Reset() recycles it).
-  Result<std::vector<uint64_t>> Finish(uint64_t dst_base);
 
   // ---- Resumable merge phase ---------------------------------------------
 

@@ -104,9 +104,9 @@ Result<std::unique_ptr<ObliviousStore>> ObliviousStore::Create(
   // Double buffering pays a constant seek overhead (rebuilds read one
   // region and write its twin; scans probe mixed-epoch regions), worth
   // it only when rebuild stalls are long — i.e. when the hierarchy is
-  // deep. Shallow stores (one or two levels) keep the blocking
-  // schedule: their largest rebuild is already a short stall, and the
-  // deamortized machinery would cost ~10% steady-state throughput for
+  // deep. Shallow stores (one or two levels) drain each chain inside its
+  // flush and install in place: their largest rebuild is already a
+  // short stall, and pacing would cost ~10% steady-state throughput for
   // nothing.
   if (store->levels_.size() < 3) {
     store->options_.deamortize_reorders = false;
@@ -712,40 +712,6 @@ Status ObliviousStore::MaybeFlush() {
 }
 
 Status ObliviousStore::FlushBuffer() {
-  if (!options_.deamortize_reorders) {
-    const double t0 = Clock();
-    cells_.buffer_flushes.Increment();
-    obs::ScopedSpan span(trace_, "store.flush", trace_track_,
-                         {{"records", static_cast<int64_t>(buffer_.size())}});
-
-    Level& level1 = levels_.front();
-    // With a single level (k = 1) the level is also the last one; dedup at
-    // re-order guarantees fit because distinct records never exceed N.
-    // Deferred group flushes can stage up to 2B - 1 records, which still
-    // fits level 1 (capacity 2B) once a dump empties it.
-    if (levels_.size() > 1 &&
-        level1.live_count() + buffer_.size() > level1.capacity) {
-      STEGHIDE_RETURN_IF_ERROR(Dump(0));
-    }
-
-    std::vector<std::pair<RecordId, const Bytes*>> in_memory;
-    in_memory.reserve(buffer_.size());
-    for (const auto& [id, payload] : buffer_) {
-      in_memory.emplace_back(id, &payload);
-    }
-
-    STEGHIDE_RETURN_IF_ERROR(ReorderInto(level1, nullptr, in_memory));
-    buffer_.clear();
-    // The whole flush/dump cascade ran inside this serving operation —
-    // the stall the deamortized path exists to break up.
-    const double dt = Clock() - t0;
-    stats_.sort_ms += dt;
-    stats_.stall_ms += dt;
-    stats_.max_stall_ms = std::max(stats_.max_stall_ms, dt);
-    cells_.stall.Record(dt);
-    return Status::OK();
-  }
-
   if (ChainActiveLocked()) {
     if (!options_.strict_reorder_schedule &&
         buffer_.size() < DeferLimitRecords()) {
@@ -761,74 +727,18 @@ Status ObliviousStore::FlushBuffer() {
     // small — it is what max_stall_ms measures.
     STEGHIDE_RETURN_IF_ERROR(DrainChainLocked());
   }
-  return StartFlushChainLocked();
+  obs::ScopedSpan span(trace_, "store.flush", trace_track_,
+                       {{"records", static_cast<int64_t>(buffer_.size())}});
+  STEGHIDE_RETURN_IF_ERROR(StartFlushChainLocked());
+  if (levels_.front().double_buffered()) return Status::OK();
+  // No shadow regions: the chain rebuilds each level in place, over the
+  // permutation scans probe, so it runs to completion inside the flush
+  // that planned it — the blocking schedule, one serving stall per flush.
+  return RunChainLocked(std::numeric_limits<uint64_t>::max(),
+                        /*stall=*/true, nullptr);
 }
 
-Status ObliviousStore::Dump(size_t i) {
-  // Levels are 0-indexed here; the paper's dump(i) merges level i into
-  // level i+1, cascading when the target is itself full.
-  if (i + 1 >= levels_.size()) {
-    return Status::Internal("dump called on the last level");
-  }
-  Level& source = levels_[i];
-  Level& target = levels_[i + 1];
-  if (i + 2 < levels_.size() &&
-      target.live_count() + source.live_count() > target.capacity) {
-    STEGHIDE_RETURN_IF_ERROR(Dump(i + 1));
-  }
-  // For the last level the capacity equals the store's record capacity,
-  // so the merged (deduplicated) content always fits.
-  return ReorderInto(target, &source, {});
-}
-
-Status ObliviousStore::ReorderInto(
-    Level& target, Level* source,
-    const std::vector<std::pair<RecordId, const Bytes*>>& in_memory) {
-  const size_t level_idx = static_cast<size_t>(&target - levels_.data());
-  const double t0 = Clock();
-  obs::ScopedSpan span(trace_, "store.reorder", trace_track_,
-                       {{"level", static_cast<int64_t>(level_idx) + 1}});
-  sorter_->Reset();
-  reorder_added_.clear();
-  reorder_added_.reserve(target.capacity);
-
-  // Priority: in-memory (newest) > source level > target level.
-  for (const auto& [id, payload] : in_memory) {
-    STEGHIDE_RETURN_IF_ERROR(
-        sorter_->AddInMemory(*payload, Drbg().NextUint64(), id));
-    reorder_added_.insert(id);
-  }
-  for (Level* src : {source, &target}) {
-    if (src == nullptr) continue;
-    for (uint64_t slot = 0; slot < src->occupied(); ++slot) {
-      const RecordId id = src->slot_ids[slot];
-      if (src->IsStale(slot)) continue;
-      if (reorder_added_.find(id) != reorder_added_.end()) continue;
-      reorder_added_.insert(id);
-      STEGHIDE_RETURN_IF_ERROR(
-          sorter_->Add(src->base + slot, Drbg().NextUint64(), id));
-    }
-  }
-
-  if (reorder_added_.size() > target.capacity) {
-    return Status::Internal("re-order overflow: level capacity exceeded");
-  }
-
-  STEGHIDE_ASSIGN_OR_RETURN(std::vector<uint64_t> order,
-                            sorter_->Finish(target.base));
-  target.InstallOrder(std::move(order), Drbg().NextUint64());
-  if (source != nullptr) source->Clear(Drbg().NextUint64());
-
-  cells_.reorders.Increment();
-  ++reorder_epoch_;
-  cells_.reorder_reads.Add(sorter_->stats().reads);
-  cells_.reorder_writes.Add(sorter_->stats().writes);
-  STEGHIDE_RETURN_IF_ERROR(ChargeIndexRebuild(target));
-  stats_.reorder_ms[level_idx] += Clock() - t0;
-  return Status::OK();
-}
-
-// ---- Deamortized chain machinery -----------------------------------------
+// ---- Re-order chain machinery ----------------------------------------------
 
 Status ObliviousStore::StartFlushChainLocked() {
   assert(!ChainActiveLocked() && flushing_.empty());
@@ -840,10 +750,10 @@ Status ObliviousStore::StartFlushChainLocked() {
   // Choose the flush target: the first level whose capacity covers the
   // flush set plus every level folded above it (conservative, pre-dedup
   // — the last level always qualifies because distinct records never
-  // exceed N). In the strict schedule the flush set is at most 2B - 1,
-  // so t == 0 and the plan is exactly the blocking recursion; deferral
-  // can grow the set past 2B, which folds level 1 (and, in principle,
-  // deeper levels) into the flush job.
+  // exceed N). Without deferral (a drained chain, or the strict
+  // schedule) the flush set is at most 2B - 1, so t == 0 and the plan is
+  // the paper's dump recursion; deferral can grow the set past 2B, which
+  // folds level 1 (and, in principle, deeper levels) into the flush job.
   size_t t = 0;
   uint64_t folded_live = 0;
   while (t + 1 < levels_.size() &&
@@ -852,8 +762,9 @@ Status ObliviousStore::StartFlushChainLocked() {
     ++t;
   }
 
-  // Mirror the blocking Dump recursion (deepest re-order first) with
-  // live counts frozen at this trigger.
+  // The §5.1.2 dump recursion — a full target dumps into the next level
+  // first, cascading while targets are full; deepest re-order first —
+  // with live counts frozen at this trigger.
   std::vector<size_t> dump_sources;
   bool include_target_live = true;
   if (t + 1 < levels_.size() &&
@@ -875,8 +786,8 @@ Status ObliviousStore::StartFlushChainLocked() {
   projection_.assign(levels_.size(), LevelProjection{});
 
   // Snapshot one job's inputs: ascending live-slot sweeps with the
-  // blocking dedup priority (memory > higher levels > target), tags
-  // drawn per item exactly as the blocking adds would.
+  // dedup priority newest-first (memory > higher levels > target), one
+  // random sort tag per item. Every tag of the chain is drawn here.
   const auto sweep_level = [&](size_t li, ReorderJob::Inputs& inputs) {
     const Level& level = levels_[li];
     for (uint64_t slot = 0; slot < level.occupied(); ++slot) {
@@ -986,17 +897,29 @@ Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
   cells_.reorder_steps.Increment();
   obs::ScopedSpan span(trace_, "store.reorder_step", trace_track_,
                        {{"stall", stall ? 1 : 0}});
+  uint64_t used = 0;
+  STEGHIDE_RETURN_IF_ERROR(RunChainLocked(budget_blocks, stall, &used));
+  span.AddArg("used", static_cast<int64_t>(used));
+  return Status::OK();
+}
+
+Status ObliviousStore::RunChainLocked(uint64_t budget_blocks, bool stall,
+                                      uint64_t* used_blocks) {
   const double t0 = Clock();
   uint64_t used = 0;
   while (ChainActiveLocked()) {
-    ChainStep& front = chain_->steps.front();
-    ReorderJob& job = *front.job;
+    ReorderJob& job = *chain_->steps.front().job;
+    const size_t level = job.target_level();
+    const double jt0 = Clock();
     if (job.done()) {
-      STEGHIDE_RETURN_IF_ERROR(InstallFrontJobLocked());
+      // The install (and its index-rebuild charge) is part of the
+      // level's re-order time.
+      const Status status = InstallFrontJobLocked();
+      stats_.reorder_ms[level] += Clock() - jt0;
+      STEGHIDE_RETURN_IF_ERROR(status);
       continue;
     }
     if (used >= budget_blocks) break;
-    const double jt0 = Clock();
     uint64_t consumed = 0;
     const Status status = job.Step(budget_blocks - used, &consumed);
     // Account the job's I/O and per-level time as it happens, so stats
@@ -1005,11 +928,11 @@ Status ObliviousStore::StepChainLocked(uint64_t budget_blocks, bool stall) {
     cells_.reorder_writes.Add(job.writes() - chain_->front_writes_seen);
     chain_->front_reads_seen = job.reads();
     chain_->front_writes_seen = job.writes();
-    stats_.reorder_ms[job.target_level()] += Clock() - jt0;
+    stats_.reorder_ms[level] += Clock() - jt0;
     STEGHIDE_RETURN_IF_ERROR(status);
     used += consumed;
   }
-  span.AddArg("used", static_cast<int64_t>(used));
+  if (used_blocks != nullptr) *used_blocks = used;
   const double dt = Clock() - t0;
   stats_.sort_ms += dt;
   if (stall) {

@@ -54,13 +54,15 @@ struct ObliviousStoreOptions {
 
   // ---- Deamortized re-orders ----------------------------------------------
 
-  /// Run §5.1.2 re-orders incrementally against double-buffered levels:
-  /// a flush/dump cascade becomes a chain of resumable ReorderJobs that
-  /// build each level's next permutation in its shadow region while
-  /// scans keep probing the old one, with an atomic flip at completion.
-  /// Work is advanced by StepReorder() (the dispatcher's idle pump),
-  /// self-paced serving taxes, and a hard drain backstop, so serving
-  /// never stalls behind a whole rebuild.
+  /// Every flush/dump cascade runs as a chain of resumable ReorderJobs;
+  /// this picks how. Off: the chain rebuilds each level in place and is
+  /// drained inside the flush that planned it — the blocking schedule.
+  /// On: the jobs build each level's next permutation in its shadow
+  /// region while scans keep probing the old one, with an atomic flip at
+  /// completion; work is advanced by StepReorder() (the dispatcher's idle
+  /// pump), self-paced serving taxes, and a hard drain backstop, so
+  /// serving never stalls behind a whole rebuild. Create() turns it off
+  /// for hierarchies shallower than 3 levels.
   bool deamortize_reorders = false;
   /// First device block of the shadow mirror: a second hierarchy-shaped
   /// region (2N - 2B blocks, per-level offsets matching the primary) the
@@ -139,8 +141,10 @@ struct ObliviousStats {
   /// pass reads each level's spilled index once instead of once per
   /// request, saving (group size - 1) reads per non-empty level.
   uint64_t probes_saved = 0;
-  /// Incremental re-order bookkeeping (deamortize_reorders).
-  uint64_t reorder_steps = 0;      // StepReorder / tax / drain slices
+  /// Chain slices run after the flush that planned the chain (StepReorder,
+  /// serving tax, drain backstop). A chain drained inside its own flush
+  /// (deamortize_reorders off) takes none.
+  uint64_t reorder_steps = 0;
   uint64_t deferred_flushes = 0;   // flush triggers coalesced into a chain
   double retrieve_ms = 0.0;  // virtual time in scans
   double sort_ms = 0.0;      // virtual time in flush/dump/re-order
@@ -151,10 +155,10 @@ struct ObliviousStats {
   /// Per-level re-order time (reorder_ms[i] is level i+1), summing to
   /// sort_ms. Sized to the hierarchy height.
   std::vector<double> reorder_ms;
-  /// Longest single serving stall attributable to re-order work: a
-  /// blocking flush/dump, a hard drain backstop, or one serving tax
-  /// slice. The deamortization headline — blocking mode reports the full
-  /// largest-rebuild time here.
+  /// Longest single serving stall attributable to re-order work: a chain
+  /// drained inside its flush, a hard drain backstop, or one serving tax
+  /// slice. The deamortization headline — with deamortize_reorders off
+  /// this is the full largest-cascade time.
   double max_stall_ms = 0.0;
   /// Total serving-attributable re-order stall time.
   double stall_ms = 0.0;
@@ -199,11 +203,14 @@ struct ObliviousStats {
 /// still read at most once between re-orders, and the per-request trace
 /// stays one touch per non-empty level.
 ///
-/// Deamortized re-orders (options.deamortize_reorders): a flush/dump
-/// cascade is planned as a chain of resumable ReorderJobs over an
-/// immutable snapshot (flush set + live-slot sweeps), executed
-/// deepest-target-first in bounded Step increments against each level's
-/// shadow region, with an atomic base flip per install. While the chain
+/// Re-orders: every flush/dump cascade is planned as a chain of
+/// resumable ReorderJobs over an immutable snapshot (flush set + live-slot
+/// sweeps), executed deepest-target-first, one install per job. Without
+/// double buffering the jobs write in place and the chain is drained
+/// inside the flush — the blocking schedule. Deamortized
+/// (options.deamortize_reorders), the jobs run in bounded Step
+/// increments against each level's shadow region, with an atomic base
+/// flip per install. While the chain
 /// runs, scans serve the *old* permutations; records of the snapshotted
 /// flush set are served from agent memory behind a full decoy sweep
 /// (the same per-level touch count the blocking schedule would show for
@@ -322,9 +329,10 @@ class ObliviousStore {
   /// stuck.
   bool deamortized() const { return options_.deamortize_reorders; }
 
-  /// Counts level-permutation installs (blocking re-orders and chain job
-  /// flips alike). Readers use it to reason about epoch consistency:
-  /// everything inside one store critical section observes one epoch.
+  /// Counts level-permutation installs (in place or flipped to the
+  /// shadow region alike). Readers use it to reason about epoch
+  /// consistency: everything inside one store critical section observes
+  /// one epoch.
   uint64_t reorder_epoch() const {
     std::lock_guard<std::mutex> lock(mu_);
     return reorder_epoch_;
@@ -469,8 +477,8 @@ class ObliviousStore {
   /// An incremental flush/dump cascade: steps execute strictly in order
   /// (deepest target first, the flush job last), each installing its
   /// level before the next starts. Planned — snapshots, tags,
-  /// projections and all — at the flush trigger, so the chain replays
-  /// exactly the blocking recursion's re-orders.
+  /// projections and all — at the flush trigger, so a chain paced over
+  /// later ops runs exactly the re-orders a drained one would.
   struct ReorderChain {
     std::deque<ChainStep> steps;
     // Last-seen job I/O counters, for incremental stats deltas.
@@ -533,24 +541,18 @@ class ObliviousStore {
   /// hold up to 2B - 1 records — still within level 1's capacity.
   Status MaybeFlush();
 
+  /// Plans the flush as a re-order chain (draining or deferring behind a
+  /// chain still running). Without shadow regions the chain installs in
+  /// place and is drained before the flush returns — the blocking
+  /// schedule; double-buffered chains are left to pacing and the pump.
   Status FlushBuffer();
-
-  /// Dumps level `i` (1-based) into level i+1 (merging + re-shuffle).
-  Status Dump(size_t i);
-
-  /// Rebuilds `target` from its own live records, optional `source` level
-  /// records (which win on duplicates) and optional in-memory records
-  /// (which win over everything). Empties `source`. The blocking path.
-  Status ReorderInto(Level& target, Level* source,
-                     const std::vector<std::pair<RecordId, const Bytes*>>&
-                         in_memory);
 
   /// charge_index_io: sequential index rewrite after re-ordering `level`.
   /// (The per-pass index read is planned inline by PlanScan, so it joins
   /// the level probes in one batched request.)
   Status ChargeIndexRebuild(const Level& level);
 
-  // ---- Deamortized chain machinery (callers hold mu_) ---------------------
+  // ---- Re-order chain machinery (callers hold mu_) ------------------------
 
   bool ChainActiveLocked() const {
     return chain_ != nullptr && !chain_->steps.empty();
@@ -575,14 +577,23 @@ class ObliviousStore {
   }
 
   /// Plans the flush cascade at trigger time (snapshot + tags +
-  /// projections), moving buffer_ into flushing_. Mirrors the blocking
-  /// Dump recursion exactly.
+  /// projections), moving buffer_ into flushing_: the §5.1.2 dump
+  /// recursion (a full level dumps into the next, deepest re-order
+  /// first), one ReorderJob per re-order, the flush job last.
   Status StartFlushChainLocked();
 
-  /// Advances the chain by roughly `budget_blocks` I/Os, installing
-  /// finished jobs. `stall` marks the time serving-attributable (tax or
-  /// drain backstop) for the stall counters.
+  /// One chain slice after the flush that planned the chain (pump, tax
+  /// or drain backstop): counted in reorder_steps and traced as a
+  /// "store.reorder_step" span around RunChainLocked.
   Status StepChainLocked(uint64_t budget_blocks, bool stall);
+
+  /// Advances the chain by roughly `budget_blocks` I/Os, installing
+  /// finished jobs, and accounts its I/O and virtual time. `stall` marks
+  /// the time serving-attributable (in-flush drain, tax or backstop) for
+  /// the stall counters. `used_blocks` (optional) reports the budget
+  /// consumed.
+  Status RunChainLocked(uint64_t budget_blocks, bool stall,
+                        uint64_t* used_blocks);
 
   /// Runs the chain to completion (hard backstop / strict schedule).
   Status DrainChainLocked();
@@ -592,9 +603,10 @@ class ObliviousStore {
   /// the `staged` records the finishing op contributed.
   Status PaceChainLocked(uint64_t staged);
 
-  /// Installs the finished front job: flips the level to its shadow
-  /// region, applies tombstones, clears the dumped source, charges the
-  /// index rebuild and retires chain state at the end.
+  /// Installs the finished front job: switches the level to the region
+  /// the job built (its shadow, or in place), applies tombstones, clears
+  /// the dumped source, charges the index rebuild and retires chain state
+  /// at the end.
   Status InstallFrontJobLocked();
 
   /// Refreshes the chain-progress gauges (pending steps, remaining

@@ -21,9 +21,9 @@ ReorderJob::ReorderJob(storage::BlockDevice* device,
 
 Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
   // The flush set first: it carries the newest copies, and feeding it
-  // before the device sweep reproduces the blocking add order (in-memory
+  // before the device sweep keeps the add order newest-first (in-memory
   // > source > target), so equal tags — impossible anyway with a 64-bit
-  // DRBG — would resolve identically. Memory adds cost no reads, but a
+  // DRBG — resolve deterministically. Memory adds cost no reads, but a
   // full run spills sequentially through the sorter, which we charge.
   const auto sorter_io = [&] {
     return sorter_->stats().reads + sorter_->stats().writes;
@@ -82,9 +82,9 @@ Status ReorderJob::StepBuildRuns(uint64_t budget_blocks, uint64_t& used) {
 
 Status ReorderJob::Step(uint64_t budget_blocks, uint64_t* consumed) {
   if (!started_ && phase_ != Phase::kDone) {
-    // The sorter is shared by every job of a chain (and the blocking
-    // path); claim it only when this job actually starts — jobs are all
-    // constructed at the flush trigger but run strictly one at a time.
+    // The sorter is shared by every job of a chain; claim it only when
+    // this job actually starts — jobs are all constructed at the flush
+    // trigger but run strictly one at a time.
     sorter_->Reset();
     started_ = true;
   }

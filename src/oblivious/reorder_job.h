@@ -14,23 +14,26 @@
 namespace steghide::oblivious {
 
 /// One resumable level re-order — the §5.1.2 dump + oblivious-shuffle
-/// rebuilt as a state machine the deamortized path drives in bounded
-/// Step(budget_blocks) increments while serving keeps probing the old
+/// as a state machine, and the store's only re-order engine. A drained
+/// chain runs it with an unbounded budget inside the flush, writing in
+/// place; the deamortized store drives it in bounded Step(budget_blocks)
+/// increments into a shadow region while serving keeps probing the old
 /// permutation.
 ///
 /// The job owns an immutable *snapshot* of its inputs, taken by the
 /// store when the re-order was triggered: the ascending live-slot sweep
 /// of its input levels (device inputs) plus the flush set (in-memory
 /// inputs), each pre-assigned a random sort tag and already
-/// de-duplicated by the store with the blocking priority (in-memory >
-/// source level > target level). Because the snapshot is fixed, later
-/// serving activity — reads re-buffering records, hidden updates,
-/// removals — cannot change which blocks the job touches: the job issues
-/// exactly the ascending input reads and sequential destination writes
-/// the blocking re-order would, merely interleaved with serving. Both
-/// sequences are data-independent, which is why the interleaving leaves
-/// the per-level touch multiset of the schedule unchanged (pinned by
-/// tests/oblivious_incremental_test.cc). Removals that race the job are
+/// de-duplicated by the store newest-first (in-memory > source level >
+/// target level). Because the snapshot is fixed, later serving activity
+/// — reads re-buffering records, hidden updates, removals — cannot
+/// change which blocks the job touches: paced or drained, the job issues
+/// the same ascending input reads and sequential destination writes,
+/// merely interleaved differently with serving. Both sequences are
+/// data-independent, which is why the interleaving leaves the per-level
+/// touch multiset of the schedule unchanged (pinned by
+/// tests/oblivious_incremental_test.cc and the blocking golden in
+/// tests/reorder_cascade_test.cc). Removals that race the job are
 /// reconciled by the store with tombstones at install time.
 ///
 /// Phases:
@@ -56,8 +59,7 @@ class ReorderJob {
     uint64_t tag = 0;
   };
   struct Inputs {
-    /// Ascending live-slot sweep order (source level then target level,
-    /// exactly the blocking read sequence).
+    /// Ascending live-slot sweep order (source level then target level).
     std::vector<DeviceInput> device;
     /// The flush set (agent buffer snapshot); read cost-free.
     std::vector<MemoryInput> memory;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -89,7 +90,7 @@ class ResumableMergeTest : public ::testing::Test {
   crypto::CbcCipher cipher_;
 };
 
-TEST_F(ResumableMergeTest, ChunkedMergeStepsMatchBlockingFinish) {
+TEST_F(ResumableMergeTest, ChunkedMergeStepsMatchUnboundedMerge) {
   constexpr uint64_t kItems = 40;
   constexpr uint64_t kRun = 8;
   std::map<uint64_t, Bytes> payloads;
@@ -103,11 +104,18 @@ TEST_F(ResumableMergeTest, ChunkedMergeStepsMatchBlockingFinish) {
     tags[i] = rng.Next();
   }
 
+  // Two sorters over the same sealed inputs, with disjoint scratch and
+  // destinations: one merges in budget-7 slices, the other in a single
+  // unbounded step (how a drained chain runs it).
   ExternalMergeSorter sorter(&dev_, &codec_, &cipher_, &drbg_, 64, kRun);
+  ExternalMergeSorter unbounded(&dev_, &codec_, &cipher_, &drbg_, 128, kRun);
   for (uint64_t i = 0; i < kItems; ++i) {
-    ASSERT_TRUE(sorter.Add(i, tags[i], i).ok());
+    const Bytes plain = GetBlock(i);
+    ASSERT_TRUE(sorter.AddInMemory(plain, tags[i], i).ok());
+    ASSERT_TRUE(unbounded.AddInMemory(plain, tags[i], i).ok());
   }
   ASSERT_TRUE(sorter.BeginMerge(/*dst_base=*/256).ok());
+  ASSERT_TRUE(unbounded.BeginMerge(/*dst_base=*/400).ok());
   // Adds are rejected once the merge phase is armed.
   EXPECT_FALSE(sorter.AddInMemory(payloads[0], 1, 1).ok());
 
@@ -124,17 +132,30 @@ TEST_F(ResumableMergeTest, ChunkedMergeStepsMatchBlockingFinish) {
   EXPECT_GT(steps, 3) << "budget 7 should take many steps for 40 items";
   EXPECT_EQ(sorter.merge_remaining_blocks(), 0u);
   // Every merge I/O was accounted to some step: total traffic minus the
-  // Add() input reads and the run spills issued during the add phase.
+  // run spills issued during the add phase.
   EXPECT_EQ(consumed_total,
-            sorter.stats().reads + sorter.stats().writes - 2 * kItems);
+            sorter.stats().reads + sorter.stats().writes - kItems);
 
+  bool unbounded_done = false;
+  ASSERT_TRUE(unbounded
+                  .MergeStep(std::numeric_limits<uint64_t>::max(),
+                             &unbounded_done)
+                  .ok());
+  ASSERT_TRUE(unbounded_done);
+
+  // Slicing changes neither the permutation, nor what lands in each
+  // destination slot, nor the I/O volume.
   std::vector<uint64_t> order = sorter.TakeOrder();
+  EXPECT_EQ(order, unbounded.TakeOrder());
+  EXPECT_EQ(sorter.stats().reads, unbounded.stats().reads);
+  EXPECT_EQ(sorter.stats().writes, unbounded.stats().writes);
   ASSERT_EQ(order.size(), kItems);
   std::set<uint64_t> seen;
   for (size_t i = 0; i < order.size(); ++i) {
     if (i > 0) EXPECT_LE(tags[order[i - 1]], tags[order[i]]);
     seen.insert(order[i]);
     EXPECT_EQ(GetBlock(256 + i), payloads[order[i]]) << "slot " << i;
+    EXPECT_EQ(GetBlock(400 + i), payloads[order[i]]) << "slot " << i;
   }
   EXPECT_EQ(seen.size(), kItems);
 
@@ -144,9 +165,12 @@ TEST_F(ResumableMergeTest, ChunkedMergeStepsMatchBlockingFinish) {
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(sorter.AddInMemory(payloads[i], 100 - i, i).ok());
   }
-  auto again = sorter.Finish(/*dst_base=*/300);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(*again, (std::vector<uint64_t>{3, 2, 1, 0}));
+  ASSERT_TRUE(sorter.BeginMerge(/*dst_base=*/300).ok());
+  done = false;
+  ASSERT_TRUE(
+      sorter.MergeStep(std::numeric_limits<uint64_t>::max(), &done).ok());
+  ASSERT_TRUE(done);
+  EXPECT_EQ(sorter.TakeOrder(), (std::vector<uint64_t>{3, 2, 1, 0}));
 }
 
 // ---- Deamortized store ---------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -65,6 +66,17 @@ class MergeSorterTest : public ::testing::Test {
     return payload;
   }
 
+  // Arms the merge and runs it to completion in one unbounded MergeStep.
+  static std::vector<uint64_t> MergeAll(ExternalMergeSorter& sorter,
+                                        uint64_t dst_base) {
+    EXPECT_TRUE(sorter.BeginMerge(dst_base).ok());
+    bool done = false;
+    EXPECT_TRUE(
+        sorter.MergeStep(std::numeric_limits<uint64_t>::max(), &done).ok());
+    EXPECT_TRUE(done);
+    return sorter.TakeOrder();
+  }
+
   storage::MemBlockDevice dev_;
   stegfs::BlockCodec codec_;
   crypto::HashDrbg drbg_;
@@ -80,12 +92,11 @@ TEST_F(MergeSorterTest, InMemoryFastPath) {
     payloads[i] = p;
     ASSERT_TRUE(sorter.AddInMemory(p, /*tag=*/100 - i, /*label=*/i).ok());
   }
-  auto order = sorter.Finish(/*dst_base=*/0);
-  ASSERT_TRUE(order.ok());
+  const std::vector<uint64_t> order = MergeAll(sorter, /*dst_base=*/0);
   // Tags were descending, so labels come back reversed.
-  EXPECT_EQ(*order, (std::vector<uint64_t>{3, 2, 1, 0}));
+  EXPECT_EQ(order, (std::vector<uint64_t>{3, 2, 1, 0}));
   for (uint64_t slot = 0; slot < 4; ++slot) {
-    EXPECT_EQ(GetBlock(slot), payloads[(*order)[slot]]);
+    EXPECT_EQ(GetBlock(slot), payloads[order[slot]]);
   }
   EXPECT_EQ(sorter.stats().reads, 0u);  // no scratch traffic
 }
@@ -106,20 +117,20 @@ TEST_F(MergeSorterTest, MultiRunExternalSort) {
   std::vector<uint64_t> tags(kItems);
   for (uint64_t i = 0; i < kItems; ++i) {
     tags[i] = rng.Next();
-    ASSERT_TRUE(sorter.Add(i, tags[i], i).ok());
+    // The re-order reads each source block and adds its plaintext.
+    ASSERT_TRUE(sorter.AddInMemory(GetBlock(i), tags[i], i).ok());
   }
-  auto order = sorter.Finish(128);
-  ASSERT_TRUE(order.ok()) << order.status().ToString();
-  ASSERT_EQ(order->size(), kItems);
+  const std::vector<uint64_t> order = MergeAll(sorter, 128);
+  ASSERT_EQ(order.size(), kItems);
 
   // Labels must come out in ascending tag order...
-  for (size_t i = 1; i < order->size(); ++i) {
-    EXPECT_LE(tags[(*order)[i - 1]], tags[(*order)[i]]);
+  for (size_t i = 1; i < order.size(); ++i) {
+    EXPECT_LE(tags[order[i - 1]], tags[order[i]]);
   }
   // ...and each destination slot must hold the right payload.
   std::set<uint64_t> seen;
   for (uint64_t slot = 0; slot < kItems; ++slot) {
-    const uint64_t label = (*order)[slot];
+    const uint64_t label = order[slot];
     seen.insert(label);
     EXPECT_EQ(GetBlock(128 + slot), payloads[label]) << "slot " << slot;
   }
