@@ -19,6 +19,7 @@
 #include "storage/trace_device.h"
 #include "storage/volume_set.h"
 #include "testing/golden.h"
+#include "util/random.h"
 
 namespace steghide::storage {
 namespace {
@@ -203,6 +204,129 @@ TEST(ReplicatedDeviceTest, RepairTrafficIsAFixedPublicSchedule) {
     EXPECT_EQ(trace[b].block_id, b);
   }
 }
+
+// ---- Golden oracle: the default mirror's per-replica streams ------------
+//
+// A default-constructed mirror over traced replicas runs a seeded mixed
+// ReadBlocks / WriteBlocks / Flush schedule, then a manual quarantine,
+// live writes while the replicas are out, StartRepair and a RepairStep
+// sweep interleaved with more traffic. No write is ever missed, so the
+// stream every replica sees is pinned by one hash per shape: a change
+// that moves it moved the mirror's replica choice, fan-out or scrub
+// order.
+
+struct MirrorGoldenShape {
+  size_t replicas;
+  /// Replicas quarantined by hand, in order; repair starts on them in
+  /// the same order, the second one joining a sweep already in flight.
+  std::vector<size_t> quarantined;
+  uint64_t hash;
+};
+
+void PrintTo(const MirrorGoldenShape& shape, std::ostream* os) {
+  *os << "R=" << shape.replicas;
+}
+
+class MirrorGoldenTest : public ::testing::TestWithParam<MirrorGoldenShape> {
+};
+
+uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST_P(MirrorGoldenTest, ReplicaStreamsMatchGolden) {
+  const MirrorGoldenShape shape = GetParam();
+  constexpr uint64_t kBlocks = 64;
+  constexpr size_t kBs = 512;
+  MirrorFixture fx(shape.replicas, kBlocks);
+  Rng rng(0x3141 + shape.replicas);
+  std::vector<Bytes> model(kBlocks, Bytes(kBs, 0));
+  uint64_t op = 0;
+
+  // One seeded op: a vectored read (checked against the model), a
+  // vectored write of 1..8 random blocks, or a flush.
+  const auto step = [&] {
+    ++op;
+    const uint64_t action = rng.Uniform(10);
+    if (action == 9) {
+      ASSERT_TRUE(fx.rep->Flush().ok()) << "op " << op;
+      return;
+    }
+    std::vector<uint64_t> ids(1 + rng.Uniform(8));
+    for (uint64_t& id : ids) id = rng.Uniform(kBlocks);
+    Bytes buf(ids.size() * kBs);
+    if (action < 4) {
+      ASSERT_TRUE(fx.rep->ReadBlocks(ids, buf.data()).ok()) << "op " << op;
+      for (size_t i = 0; i < ids.size(); ++i) {
+        ASSERT_EQ(Bytes(buf.begin() + i * kBs, buf.begin() + (i + 1) * kBs),
+                  model[ids[i]])
+            << "op " << op << " block " << ids[i];
+      }
+      return;
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const Bytes image = GoldenBlock(op, ids[i], kBs);
+      std::copy(image.begin(), image.end(), buf.begin() + i * kBs);
+      model[ids[i]] = image;
+    }
+    ASSERT_TRUE(fx.rep->WriteBlocks(ids, buf.data()).ok()) << "op " << op;
+  };
+
+  for (int i = 0; i < 300; ++i) ASSERT_NO_FATAL_FAILURE(step());
+  for (size_t r : shape.quarantined) fx.rep->Quarantine(r);
+  for (int i = 0; i < 60; ++i) ASSERT_NO_FATAL_FAILURE(step());
+  for (size_t j = 0; j < shape.quarantined.size(); ++j) {
+    ASSERT_TRUE(fx.rep->StartRepair(shape.quarantined[j]).ok());
+    bool more = true;
+    // The first repair is cut short by the second joining it; the last
+    // one runs to completion.
+    for (int s = 0; more && (j + 1 == shape.quarantined.size() || s < 3);
+         ++s) {
+      ASSERT_TRUE(fx.rep->RepairStep(5, &more).ok());
+      ASSERT_NO_FATAL_FAILURE(step());
+    }
+  }
+  EXPECT_FALSE(fx.rep->repair_pending());
+  for (int i = 0; i < 60; ++i) ASSERT_NO_FATAL_FAILURE(step());
+
+  for (size_t r = 0; r < shape.replicas; ++r) {
+    EXPECT_EQ(fx.rep->replica_state(r), ReplicaState::kHealthy);
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      EXPECT_TRUE(steghide::testing::BlockEquals(*fx.mems[r], b, model[b]))
+          << "replica " << r << " block " << b;
+    }
+  }
+  const ReplicationStats stats = fx.rep->stats();
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(stats.repairs_completed, shape.quarantined.size());
+
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (size_t r = 0; r < shape.replicas; ++r) {
+    const IoTrace& trace = fx.traces[r]->trace();
+    hash = Fnv1a(hash, trace.size());
+    for (const TraceEvent& ev : trace) {
+      hash = Fnv1a(hash, ev.kind == TraceEvent::Kind::kRead ? 0 : 1);
+      hash = Fnv1a(hash, ev.block_id);
+    }
+  }
+  EXPECT_EQ(hash, shape.hash)
+      << std::hex << "golden 0x" << hash << std::dec << " (replica 0 saw "
+      << fx.traces[0]->trace().size() << " events)";
+}
+
+// R = 2 repairs replica 0, so the sweep copies from replica 1; R = 3
+// repairs replicas 0 and 2 in one restarted sweep sourced from replica 1.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MirrorGoldenTest,
+    ::testing::Values(MirrorGoldenShape{2, {0}, 0x57d7b405a9a01e77},
+                      MirrorGoldenShape{3, {0, 2}, 0xa179c1b36835e294}),
+    [](const ::testing::TestParamInfo<MirrorGoldenShape>& info) {
+      return "R" + std::to_string(info.param.replicas);
+    });
 
 // ---- Quorum mode (R = 3): W/R windows, concurrent quarantines, ----------
 // ---- repair racing live writes ------------------------------------------
