@@ -319,13 +319,17 @@ TEST_P(MirrorGoldenTest, ReplicaStreamsMatchGolden) {
 }
 
 // R = 2 repairs replica 0, so the sweep copies from replica 1; R = 3
-// repairs replicas 0 and 2 in one restarted sweep sourced from replica 1.
+// repairs replica 1 from the lowest-index of two sources (replica 0),
+// and replicas 0 and 2 in one restarted sweep sourced from replica 1.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MirrorGoldenTest,
     ::testing::Values(MirrorGoldenShape{2, {0}, 0x57d7b405a9a01e77},
+                      MirrorGoldenShape{3, {1}, 0x1669d4e84739a2cc},
                       MirrorGoldenShape{3, {0, 2}, 0xa179c1b36835e294}),
     [](const ::testing::TestParamInfo<MirrorGoldenShape>& info) {
-      return "R" + std::to_string(info.param.replicas);
+      std::string name = "R" + std::to_string(info.param.replicas) + "Repair";
+      for (size_t r : info.param.quarantined) name += std::to_string(r);
+      return name;
     });
 
 // ---- Quorum mode (R = 3): W/R windows, concurrent quarantines, ----------
