@@ -271,12 +271,15 @@ void RunShardSweep(benchmark::State& state, size_t shards, uint64_t users) {
 // Degraded-mode sweep: the Fig10bShard serving path (K cache spindles,
 // R = 2 mirrored replicas per shard) with one replica of shard 0 killed
 // at the half-way mark, plus a mild transient-EIO read plan on the
-// surviving replica so the store scheduler's retry budget is exercised
-// while the shard is down to one mirror. The acceptance bar is
-// failed_requests == 0: every request after the kill is served by
-// failover / degraded writes / bounded retries. After the serving phase
-// the dead replica is revived and the repair sweep re-mirrors it; repair
-// cost is reported in virtual ms alongside the replication counters.
+// surviving replica so the fault path is exercised while the shard is
+// down to one mirror. The acceptance bars are failed_requests == 0,
+// io_retry_exhausted == 0, quorum_stale_reads == 0 and
+// write_quorum_failures == 0 (all hard-gated by bench_diff.py): every
+// request after the kill is served by failover / degraded writes /
+// bounded retries, and never from a stamp the dead replica missed.
+// After the serving phase the dead replica is revived and the repair
+// sweep re-mirrors it; repair cost is reported in virtual ms alongside
+// the replication counters.
 void RunDegradedSweep(benchmark::State& state, size_t shards,
                       uint64_t users) {
   constexpr uint64_t kFileBlocks = 16;
@@ -289,9 +292,10 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
     // Only the surviving replica of the shard we kill carries a fault
     // plan: a sparse transient read error (one op in 197, reads only).
     // While both mirrors are healthy those fires are absorbed by
-    // failover; once replica 1 is dead they surface through the
-    // replicated layer and must be re-driven by the scheduler's retry
-    // budget instead of failing the request.
+    // failover; once replica 1 is dead (lagging, then quarantined) the
+    // mirror's per-block re-read from the surviving replica absorbs
+    // them, and whatever still surfaces must be re-driven by the
+    // scheduler's retry budget instead of failing the request.
     const auto fault_plan = [](size_t shard,
                                size_t replica) -> storage::FaultPlan {
       storage::FaultPlan plan;
@@ -415,6 +419,10 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
     state.counters["requests"] = static_cast<double>(requests);
     state.counters["failed_requests"] =
         static_cast<double>(failed.load());
+    state.counters["quorum_stale_reads"] =
+        static_cast<double>(rstats.quorum_stale_reads);
+    state.counters["write_quorum_failures"] =
+        static_cast<double>(rstats.write_quorum_failures);
     state.counters["virtual_ms"] = serving_ms;
     state.counters["requests_per_vsec"] =
         static_cast<double>(requests) / (serving_ms / 1e3);
@@ -446,15 +454,14 @@ void RunDegradedSweep(benchmark::State& state, size_t shards,
 
 // Distributed-volume sweep: the Fig10bDegraded serving path with shard
 // 0's second mirror served over the loopback block-RPC transport and
-// the mirror running in quorum mode (W = R = 1, per-block version
-// stamps). Half-way through the request stream the remote link is
-// partitioned: every RPC to it fails fast, quorum writes keep
-// succeeding on the local replica, and quorum reads only ever serve
-// version-current stamps. The acceptance bars are failed_requests == 0
-// AND quorum_stale_reads == 0 (both hard-gated by bench_diff.py). After
-// the serving phase the link heals, the endpoint restarts, and the
-// repair sweep re-converges the remote mirror; RPC and transport
-// counters ride along.
+// the mirror at W = R = 1. Half-way through the request stream the
+// remote link is partitioned: every RPC to it fails fast, quorum writes
+// keep succeeding on the local replica, and quorum reads only ever
+// serve version-current stamps. The acceptance bars are
+// failed_requests == 0 AND quorum_stale_reads == 0 (both hard-gated by
+// bench_diff.py). After the serving phase the link heals, the endpoint
+// restarts, and the repair sweep re-converges the remote mirror; RPC
+// and transport counters ride along.
 void RunRemoteSweep(benchmark::State& state, size_t shards,
                     uint64_t users) {
   constexpr uint64_t kFileBlocks = 16;
@@ -467,7 +474,6 @@ void RunRemoteSweep(benchmark::State& state, size_t shards,
     storage::RetryPolicy retry;
     retry.max_attempts = 12;
     storage::ReplicationOptions replication;
-    replication.quorum = true;
     replication.write_quorum = 1;
     replication.read_quorum = 1;
     // The partitioned remote fails fast on every touch; keep it lagging
@@ -662,14 +668,15 @@ int main(int argc, char** argv) {
         ->Unit(benchmark::kMillisecond);
   }
   // Degraded-mode serving: one replica of one shard dies mid-run; the
-  // acceptance bar is failed_requests == 0 (gated by bench_diff.py).
+  // acceptance bars are failed_requests == 0 and quorum_stale_reads == 0
+  // (both gated by bench_diff.py).
   benchmark::RegisterBenchmark(
       "Fig10bDegraded/shards:4/users:256",
       [](benchmark::State& s) { RunDegradedSweep(s, 4, 256); })
       ->Iterations(1)
       ->Unit(benchmark::kMillisecond);
   // Distributed volumes: one mirror behind the loopback block-RPC
-  // transport, quorum serving, a partition injected mid-run. The
+  // transport, a partition injected mid-run. The
   // acceptance bars are failed_requests == 0 and quorum_stale_reads == 0
   // (both gated by bench_diff.py).
   benchmark::RegisterBenchmark(

@@ -32,16 +32,12 @@ ReplicatedBlockDevice::ReplicatedBlockDevice(
     if (replica->num_blocks() < min_blocks) min_blocks = replica->num_blocks();
   }
   num_blocks_ = min_blocks;
-  if (options_.quorum) {
-    write_quorum_ = std::clamp<size_t>(options_.write_quorum, 1,
-                                       replicas_.size());
-    read_quorum_ = std::clamp<size_t>(options_.read_quorum, 1,
-                                      replicas_.size());
-    latest_ver_.assign(num_blocks_, 0);
-    replica_ver_.assign(replicas_.size(),
-                        std::vector<uint64_t>(num_blocks_, 0));
-    stale_count_.assign(replicas_.size(), 0);
-  }
+  write_quorum_ =
+      std::clamp<size_t>(options_.write_quorum, 1, replicas_.size());
+  read_quorum_ = std::clamp<size_t>(options_.read_quorum, 1, replicas_.size());
+  latest_ver_.assign(num_blocks_, 0);
+  replica_ver_.assign(replicas_.size(), std::vector<uint64_t>(num_blocks_, 0));
+  stale_count_.assign(replicas_.size(), 0);
   cells_.healthy_replicas.Set(static_cast<double>(replicas_.size()));
 }
 
@@ -75,13 +71,11 @@ void ReplicatedBlockDevice::QuarantineLocked(size_t r) {
   cells_.quarantines.Increment();
 }
 
-bool ReplicatedBlockDevice::ServingOrder(std::vector<size_t>* order,
-                                         bool include_lagging) {
+bool ReplicatedBlockDevice::ServingOrder(std::vector<size_t>* order) {
   order->clear();
   for (size_t r = 0; r < replicas_.size(); ++r) {
     const ReplicaState state = replica_state(r);
-    if (state == ReplicaState::kHealthy ||
-        (include_lagging && state == ReplicaState::kLagging)) {
+    if (state == ReplicaState::kHealthy || state == ReplicaState::kLagging) {
       order->push_back(r);
     }
   }
@@ -95,74 +89,7 @@ bool ReplicatedBlockDevice::ServingOrder(std::vector<size_t>* order,
 }
 
 // ---------------------------------------------------------------------------
-// Strict mode (write-all / read-one)
-
-Status ReplicatedBlockDevice::ReadFrom(std::span<const uint64_t> ids,
-                                       uint8_t* out) {
-  cells_.reads.Add(ids.size());
-  std::vector<size_t> order;
-  if (!ServingOrder(&order, /*include_lagging=*/false)) {
-    return Status::IoError("replicated device: no healthy replicas");
-  }
-  const double t0 = clock_fn_ ? clock_fn_() : 0.0;
-  Status status;
-  for (size_t attempt = 0; attempt < order.size(); ++attempt) {
-    const size_t r = order[attempt];
-    status = replicas_[r]->ReadBlocks(ids, out);
-    if (status.ok()) {
-      consecutive_read_errors_[r] = 0;
-      if (attempt > 0) {
-        cells_.failovers.Increment();
-        if (clock_fn_) cells_.failover_ms.Record(clock_fn_() - t0);
-      }
-      return status;
-    }
-    // Transient hiccups stay in rotation; a replica that keeps failing
-    // gets benched so serving stops paying its failover latency.
-    if (++consecutive_read_errors_[r] >= options_.quarantine_after) {
-      QuarantineLocked(r);
-    }
-  }
-  return status;
-}
-
-Status ReplicatedBlockDevice::WriteTo(std::span<const uint64_t> ids,
-                                      const uint8_t* data) {
-  cells_.writes.Add(ids.size());
-  bool healthy_ok = false;
-  Status healthy_error;
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    const ReplicaState state = replica_state(r);
-    if (state == ReplicaState::kQuarantined) continue;
-    Status status;
-    for (int attempt = 0; attempt < std::max(1, options_.write_attempts);
-         ++attempt) {
-      status = replicas_[r]->WriteBlocks(ids, data);
-      if (status.ok() || !RetriableWrite(status)) break;
-    }
-    if (status.ok()) {
-      if (state == ReplicaState::kHealthy) healthy_ok = true;
-      continue;
-    }
-    // A replica that missed a write is stale: it must never serve a read
-    // again until a repair sweep re-mirrors it (this is also how a
-    // repairing replica drops back to quarantined on error).
-    QuarantineLocked(r);
-    if (state == ReplicaState::kHealthy && healthy_error.ok()) {
-      healthy_error = status;
-    }
-  }
-  if (healthy_ok) return Status::OK();
-  // No serving replica durably holds the new image; surface the failure
-  // (a successful write confined to a mid-repair replica does not count
-  // — its content is not servable yet).
-  return healthy_error.ok()
-             ? Status::IoError("replicated device: no healthy replicas")
-             : healthy_error;
-}
-
-// ---------------------------------------------------------------------------
-// Quorum mode
+// Version stamps
 
 bool ReplicatedBlockDevice::CurrentForAll(
     size_t r, std::span<const uint64_t> ids) const {
@@ -210,8 +137,11 @@ void ReplicatedBlockDevice::MaybePromote(size_t r) {
   }
 }
 
-Status ReplicatedBlockDevice::QuorumWriteTo(std::span<const uint64_t> ids,
-                                            const uint8_t* data) {
+// ---------------------------------------------------------------------------
+// Read / write paths
+
+Status ReplicatedBlockDevice::WriteTo(std::span<const uint64_t> ids,
+                                      const uint8_t* data) {
   cells_.writes.Add(ids.size());
   BumpVersions(ids);
   size_t acks = 0;
@@ -220,8 +150,7 @@ Status ReplicatedBlockDevice::QuorumWriteTo(std::span<const uint64_t> ids,
     const ReplicaState state = replica_state(r);
     if (state == ReplicaState::kQuarantined) continue;
     Status status;
-    for (int attempt = 0; attempt < std::max(1, options_.write_attempts);
-         ++attempt) {
+    for (int attempt = 0; attempt < kWriteAttempts; ++attempt) {
       status = replicas_[r]->WriteBlocks(ids, data);
       if (status.ok() || !RetriableWrite(status)) break;
     }
@@ -247,11 +176,11 @@ Status ReplicatedBlockDevice::QuorumWriteTo(std::span<const uint64_t> ids,
              : first_error;
 }
 
-Status ReplicatedBlockDevice::QuorumReadFrom(std::span<const uint64_t> ids,
-                                             uint8_t* out) {
+Status ReplicatedBlockDevice::ReadFrom(std::span<const uint64_t> ids,
+                                       uint8_t* out) {
   cells_.reads.Add(ids.size());
   std::vector<size_t> order;
-  if (!ServingOrder(&order, /*include_lagging=*/true)) {
+  if (!ServingOrder(&order)) {
     return Status::IoError("replicated device: no healthy replicas");
   }
   const size_t quorum_window = std::min(read_quorum_, order.size());
@@ -376,7 +305,37 @@ void ReplicatedBlockDevice::ReadRepair(std::span<const uint64_t> ids,
   }
 }
 
-Status ReplicatedBlockDevice::QuorumFlush() {
+// ---------------------------------------------------------------------------
+// Entry points
+
+Status ReplicatedBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
+  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
+  const std::span<const uint64_t> ids(&block_id, 1);
+  return ReadFrom(ids, out);
+}
+
+Status ReplicatedBlockDevice::WriteBlock(uint64_t block_id,
+                                         const uint8_t* data) {
+  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
+  const std::span<const uint64_t> ids(&block_id, 1);
+  return WriteTo(ids, data);
+}
+
+Status ReplicatedBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
+                                         uint8_t* out) {
+  if (ids.empty()) return Status::OK();
+  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
+  return ReadFrom(ids, out);
+}
+
+Status ReplicatedBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
+                                          const uint8_t* data) {
+  if (ids.empty()) return Status::OK();
+  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
+  return WriteTo(ids, data);
+}
+
+Status ReplicatedBlockDevice::Flush() {
   size_t acks = 0;
   Status first_error;
   for (size_t r = 0; r < replicas_.size(); ++r) {
@@ -399,59 +358,6 @@ Status ReplicatedBlockDevice::QuorumFlush() {
 }
 
 // ---------------------------------------------------------------------------
-// Entry points
-
-Status ReplicatedBlockDevice::ReadBlock(uint64_t block_id, uint8_t* out) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  const std::span<const uint64_t> ids(&block_id, 1);
-  return options_.quorum ? QuorumReadFrom(ids, out) : ReadFrom(ids, out);
-}
-
-Status ReplicatedBlockDevice::WriteBlock(uint64_t block_id,
-                                         const uint8_t* data) {
-  STEGHIDE_RETURN_IF_ERROR(CheckRange(block_id));
-  const std::span<const uint64_t> ids(&block_id, 1);
-  return options_.quorum ? QuorumWriteTo(ids, data) : WriteTo(ids, data);
-}
-
-Status ReplicatedBlockDevice::ReadBlocks(std::span<const uint64_t> ids,
-                                         uint8_t* out) {
-  if (ids.empty()) return Status::OK();
-  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
-  return options_.quorum ? QuorumReadFrom(ids, out) : ReadFrom(ids, out);
-}
-
-Status ReplicatedBlockDevice::WriteBlocks(std::span<const uint64_t> ids,
-                                          const uint8_t* data) {
-  if (ids.empty()) return Status::OK();
-  for (uint64_t id : ids) STEGHIDE_RETURN_IF_ERROR(CheckRange(id));
-  return options_.quorum ? QuorumWriteTo(ids, data) : WriteTo(ids, data);
-}
-
-Status ReplicatedBlockDevice::Flush() {
-  if (options_.quorum) return QuorumFlush();
-  bool healthy_ok = false;
-  Status healthy_error;
-  for (size_t r = 0; r < replicas_.size(); ++r) {
-    const ReplicaState state = replica_state(r);
-    if (state == ReplicaState::kQuarantined) continue;
-    const Status status = replicas_[r]->Flush();
-    if (status.ok()) {
-      if (state == ReplicaState::kHealthy) healthy_ok = true;
-      continue;
-    }
-    QuarantineLocked(r);
-    if (state == ReplicaState::kHealthy && healthy_error.ok()) {
-      healthy_error = status;
-    }
-  }
-  if (healthy_ok) return Status::OK();
-  return healthy_error.ok()
-             ? Status::IoError("replicated device: no healthy replicas")
-             : healthy_error;
-}
-
-// ---------------------------------------------------------------------------
 // Repair
 
 Status ReplicatedBlockDevice::StartRepair(size_t r) {
@@ -459,10 +365,7 @@ Status ReplicatedBlockDevice::StartRepair(size_t r) {
     return Status::InvalidArgument("no such replica");
   }
   const ReplicaState state = replica_state(r);
-  const bool admissible =
-      state == ReplicaState::kQuarantined ||
-      (options_.quorum && state == ReplicaState::kLagging);
-  if (!admissible) {
+  if (state != ReplicaState::kQuarantined && state != ReplicaState::kLagging) {
     return Status::FailedPrecondition("replica is not quarantined");
   }
   SetState(r, ReplicaState::kRepairing);
@@ -490,22 +393,16 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
   const uint64_t end = std::min(num_blocks_, repair_cursor_ + budget_blocks);
   for (uint64_t b = repair_cursor_; b < end; ++b) {
     // Source selection is a fixed public choice — repair traffic cannot
-    // leak which blocks changed while the replica was out. Strict mode:
-    // the lowest-index healthy replica (healthy == complete). Quorum
-    // mode: the lowest-index serving replica whose stamp for *this*
-    // block is current, so repair converges even when no replica is
-    // complete but the serving set jointly is.
+    // leak which blocks changed while the replica was out: the
+    // lowest-index serving replica whose stamp for *this* block is
+    // current, so repair converges even when no replica is complete but
+    // the serving set jointly is.
     size_t source = replicas_.size();
     for (size_t r = 0; r < replicas_.size(); ++r) {
       const ReplicaState state = replica_state(r);
-      if (options_.quorum) {
-        const bool serving = state == ReplicaState::kHealthy ||
-                             state == ReplicaState::kLagging;
-        if (serving && replica_ver_[r][b] == latest_ver_[b]) {
-          source = r;
-          break;
-        }
-      } else if (state == ReplicaState::kHealthy) {
+      const bool serving = state == ReplicaState::kHealthy ||
+                           state == ReplicaState::kLagging;
+      if (serving && replica_ver_[r][b] == latest_ver_[b]) {
         source = r;
         break;
       }
@@ -520,7 +417,7 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
       const Status status = replicas_[r]->WriteBlock(b, repair_buf_.data());
       if (!status.ok()) {
         QuarantineLocked(r);
-      } else if (options_.quorum) {
+      } else {
         MarkCurrent(r, b);
       }
     }
@@ -531,7 +428,7 @@ Status ReplicatedBlockDevice::RepairStep(uint64_t budget_blocks, bool* more) {
     bool restart = false;
     for (size_t r = 0; r < replicas_.size(); ++r) {
       if (replica_state(r) != ReplicaState::kRepairing) continue;
-      if (options_.quorum && stale_count_[r] != 0) {
+      if (stale_count_[r] != 0) {
         // A live write raced the sweep and missed this replica behind
         // the cursor; one more pass picks the block up. The restart
         // decision depends only on write/fault timing, never contents.

@@ -13,26 +13,16 @@ namespace steghide::storage {
 
 /// Mirroring policy knobs.
 struct ReplicationOptions {
-  /// Immediate same-replica attempts per write before the replica is
-  /// declared stale (a missed write quarantines the replica in strict
-  /// mode; in quorum mode it marks the blocks stale and demotes the
-  /// replica to lagging).
-  int write_attempts = 2;
   /// Consecutive failed *reads* after which a replica is quarantined
   /// instead of merely failed over (transient hiccups stay in rotation).
-  /// In quorum mode the same threshold applies to consecutive failed
-  /// writes/flushes before a lagging replica is quarantined.
+  /// The same threshold applies to consecutive failed writes/flushes,
+  /// which first demote the replica to lagging.
   int quarantine_after = 3;
-  /// Quorum mode: per-block version stamps, lagging replicas, W/R
-  /// quorums, and read-repair. false = the strict write-all/read-one
-  /// mirror (a replica that misses one write is quarantined until a
-  /// full repair sweep).
-  bool quorum = false;
   /// Acks (from healthy or lagging replicas) required for a write or
-  /// flush to succeed. Clamped to [1, R]. Quorum mode only.
+  /// flush to succeed. Clamped to [1, R].
   size_t write_quorum = 1;
   /// Replicas consulted per read before the search is counted as
-  /// "widened" beyond the quorum. Clamped to [1, R]. Quorum mode only.
+  /// "widened" beyond the quorum. Clamped to [1, R].
   size_t read_quorum = 1;
 };
 
@@ -40,10 +30,10 @@ enum class ReplicaState : uint8_t {
   kHealthy,
   kQuarantined,
   kRepairing,
-  /// Quorum mode: reachable but missing some writes (e.g. the far side
-  /// of a healed partition). Still serves reads for blocks it holds at
-  /// the latest version, receives all new writes, and re-converges via
-  /// read-repair or a repair sweep.
+  /// Reachable but missing some writes (a replica that failed a write,
+  /// or the far side of a healed partition). Still serves reads for
+  /// blocks it holds at the latest version, receives all new writes, and
+  /// re-converges via read-repair or a repair sweep.
   kLagging,
 };
 
@@ -56,18 +46,17 @@ struct ReplicationStats {
   uint64_t quarantines = 0;
   uint64_t repairs_completed = 0;
   uint64_t repair_blocks = 0;
-  /// Quorum mode: stale blocks pushed back to lagging replicas on the
-  /// read path.
+  /// Stale blocks pushed back to lagging replicas on the read path.
   uint64_t read_repairs = 0;
-  /// Quorum mode: reads that had to consult replicas beyond the first
-  /// read_quorum rotation candidates.
+  /// Reads that had to consult replicas beyond the first read_quorum
+  /// rotation candidates.
   uint64_t quorum_widened = 0;
-  /// Quorum mode: blocks served from a replica whose stamp is behind
-  /// the latest version — this is data loss and must never happen while
-  /// a write-quorum's worth of current replicas exists (hard-gated to
-  /// zero in the benches).
+  /// Blocks served from a replica whose stamp is behind the latest
+  /// version — this is data loss and must never happen while a
+  /// write-quorum's worth of current replicas exists (hard-gated to zero
+  /// in the benches).
   uint64_t quorum_stale_reads = 0;
-  /// Quorum mode: writes that could not collect write_quorum acks.
+  /// Writes that could not collect write_quorum acks.
   uint64_t write_quorum_failures = 0;
   size_t healthy_replicas = 0;
   size_t lagging_replicas = 0;
@@ -80,22 +69,19 @@ struct ReplicationStats {
 };
 
 /// R-way mirrored block device with failover, quarantine, degraded-mode
-/// serving, and incremental repair. Two consistency modes:
-///
-///  * strict (default): write-all / read-one. A replica that misses a
-///    single write is quarantined until a full repair sweep re-mirrors
-///    it. Total loss of any replica fails nothing; a write error on the
-///    last healthy replica fails the write.
-///  * quorum: every block carries a version stamp (client-side, per
-///    mirror). Writes succeed on W acks; replicas that miss writes are
-///    demoted to *lagging* and only ever serve blocks they hold at the
-///    latest stamp, so quorum reads can never return stale data. Reads
-///    consult up to R rotation candidates and fall back per-block to
-///    any replica that is current for that block; fresh data is pushed
-///    back to reachable lagging replicas (read-repair). This is what
-///    lets a partitioned or crashed *remote* replica degrade service
-///    instead of failing it, and re-converge byte-identically after
-///    reconnect.
+/// serving, and incremental repair. Every block carries a version stamp
+/// (client-side, per mirror). Writes go to every serviceable replica and
+/// succeed on W acks; a replica that misses a write is demoted to
+/// *lagging* and only ever serves blocks it holds at the latest stamp,
+/// so reads can never return stale data; after `quarantine_after`
+/// consecutive failed writes it is quarantined until a repair sweep
+/// re-mirrors it. Reads consult up to R rotation candidates and fall
+/// back per-block to any replica that is current for that block; fresh
+/// data is pushed back to reachable lagging replicas (read-repair). This
+/// is what lets a failing spindle or a partitioned or crashed *remote*
+/// replica degrade service instead of failing it, and re-converge
+/// byte-identically after it comes back. While no write is missed this
+/// is plain write-all / read-one.
 ///
 /// *Oblivious replication*: every choice this layer makes is
 /// data-independent. The serving replica for a read is picked by a
@@ -115,8 +101,8 @@ struct ReplicationStats {
 class ReplicatedBlockDevice : public BlockDevice {
  public:
   /// Does not take ownership of `replicas`, which must share one block
-  /// size and outlive this object. All replicas start healthy and (in
-  /// quorum mode) version-current.
+  /// size and outlive this object. All replicas start healthy and
+  /// version-current.
   explicit ReplicatedBlockDevice(std::vector<BlockDevice*> replicas,
                                  ReplicationOptions options = {});
 
@@ -144,16 +130,15 @@ class ReplicatedBlockDevice : public BlockDevice {
   /// Manual quarantine (tests; an external health checker).
   void Quarantine(size_t r);
 
-  /// Re-admits a quarantined (or, in quorum mode, lagging) replica for
-  /// repair: it immediately receives all new writes (so the repaired
-  /// prefix can never go stale) and a full sequential copy pass
-  /// re-mirrors it. The caller must have revived/replaced the
-  /// underlying device first.
+  /// Re-admits a quarantined or lagging replica for repair: it
+  /// immediately receives all new writes (so the repaired prefix can
+  /// never go stale) and a full sequential copy pass re-mirrors it. The
+  /// caller must have revived/replaced the underlying device first.
   Status StartRepair(size_t r);
   /// Copies up to `budget_blocks` blocks into every repairing replica;
   /// *more = work remains. Completing the sweep promotes the replicas to
-  /// healthy (in quorum mode, only once every block is verifiably at the
-  /// latest stamp — a sweep raced by failed live writes restarts).
+  /// healthy only once every block is verifiably at the latest stamp — a
+  /// sweep raced by failed live writes restarts.
   /// Fixed ascending scrub order: repair traffic is data-independent by
   /// construction.
   Status RepairStep(uint64_t budget_blocks, bool* more);
@@ -161,11 +146,9 @@ class ReplicatedBlockDevice : public BlockDevice {
   /// Next block the repair sweep will copy (progress indicator).
   uint64_t repair_cursor() const { return repair_cursor_; }
 
-  /// Quorum mode: number of blocks replica `r` holds at a stale stamp.
-  /// Issuer-thread only (like the version bookkeeping it reads).
-  uint64_t stale_blocks(size_t r) const {
-    return options_.quorum ? stale_count_[r] : 0;
-  }
+  /// Number of blocks replica `r` holds at a stale stamp. Issuer-thread
+  /// only (like the version bookkeeping it reads).
+  uint64_t stale_blocks(size_t r) const { return stale_count_[r]; }
 
   /// Virtual-clock sampler for the failover latency histogram.
   void set_clock_fn(std::function<double()> fn) { clock_fn_ = std::move(fn); }
@@ -190,19 +173,17 @@ class ReplicatedBlockDevice : public BlockDevice {
     obs::HistogramCell failover_ms;
   };
 
+  /// Immediate same-replica attempts per write before the replica is
+  /// counted as having missed it.
+  static constexpr int kWriteAttempts = 2;
+
   void SetState(size_t r, ReplicaState state);
   void QuarantineLocked(size_t r);
-  /// Serving replicas in rotation order starting at the rr counter.
-  /// Strict mode serves from healthy replicas only; quorum mode also
-  /// admits lagging ones (their per-block stamps gate what they serve).
-  /// Returns false when the set is empty.
-  bool ServingOrder(std::vector<size_t>* order, bool include_lagging);
+  /// Serving (healthy and lagging) replicas in rotation order starting
+  /// at the rr counter; the per-block stamps gate what a lagging one
+  /// serves. Returns false when the set is empty.
+  bool ServingOrder(std::vector<size_t>* order);
 
-  // Strict-mode paths (exactly the historical write-all/read-one).
-  Status ReadFrom(std::span<const uint64_t> ids, uint8_t* out);
-  Status WriteTo(std::span<const uint64_t> ids, const uint8_t* data);
-
-  // Quorum-mode paths.
   bool CurrentForAll(size_t r, std::span<const uint64_t> ids) const;
   /// Marks `id` written at the latest stamp on replica `r`.
   void MarkCurrent(size_t r, uint64_t id);
@@ -211,9 +192,8 @@ class ReplicatedBlockDevice : public BlockDevice {
   /// Demotion ladder for a failed write/flush on replica `r`.
   void NoteWriteFailure(size_t r);
   void MaybePromote(size_t r);
-  Status QuorumReadFrom(std::span<const uint64_t> ids, uint8_t* out);
-  Status QuorumWriteTo(std::span<const uint64_t> ids, const uint8_t* data);
-  Status QuorumFlush();
+  Status ReadFrom(std::span<const uint64_t> ids, uint8_t* out);
+  Status WriteTo(std::span<const uint64_t> ids, const uint8_t* data);
   /// Pushes the (version-current) blocks just read back to reachable
   /// lagging replicas. `served_current[i]` guards against propagating a
   /// stale fallback.
@@ -234,7 +214,7 @@ class ReplicatedBlockDevice : public BlockDevice {
   std::vector<int> consecutive_write_errors_;
   uint64_t repair_cursor_ = 0;
   std::vector<uint8_t> repair_buf_;
-  /// Quorum mode version bookkeeping (issuer-thread only).
+  /// Version bookkeeping (issuer-thread only).
   std::vector<uint64_t> latest_ver_;                // [num_blocks]
   std::vector<std::vector<uint64_t>> replica_ver_;  // [R][num_blocks]
   std::vector<uint64_t> stale_count_;               // [R]

@@ -324,6 +324,9 @@ Status VolumeSet::ReviveAndRepair(size_t k, size_t r) {
   if (reps_.empty()) {
     return Status::FailedPrecondition("volume set is not replicated");
   }
+  if (k >= shards_ || r >= replicas_) {
+    return Status::InvalidArgument("no such shard replica");
+  }
   if (fault(k, r) != nullptr) fault(k, r)->Revive();
   if (remote_endpoint(k, r) != nullptr && remote_endpoint(k, r)->crashed()) {
     remote_endpoint(k, r)->Restart();
@@ -334,7 +337,7 @@ Status VolumeSet::ReviveAndRepair(size_t k, size_t r) {
   }
   // The replica may still be marked healthy if it died without any
   // traffic catching it; force the quarantine so repair has a defined
-  // starting state. (Quorum mode may have demoted it to lagging
+  // starting state. (A missed write may have demoted it to lagging
   // already; StartRepair accepts that directly.)
   if (reps_[k]->replica_state(r) == ReplicaState::kHealthy) {
     reps_[k]->Quarantine(r);

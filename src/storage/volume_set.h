@@ -154,9 +154,10 @@ class ShardedBlockDevice : public BlockDevice {
 /// (scripted spindle faults) and a TraceBlockDevice (per-replica
 /// attacker view), always in a SimBlockDevice with its own DiskModel
 /// clock. With R > 1 each shard's replicas sit behind a
-/// ReplicatedBlockDevice (write-all / read-one, failover, repair); the
-/// shard tops are striped by a ShardedBlockDevice whose parallel clock
-/// samples the busiest replica of each shard.
+/// ReplicatedBlockDevice (version-stamped W/R quorums, failover, lagging
+/// replicas, read-repair, repair); the shard tops are striped by a
+/// ShardedBlockDevice whose parallel clock samples the busiest replica
+/// of each shard.
 class VolumeSet {
  public:
   struct Options {
@@ -242,7 +243,8 @@ class VolumeSet {
   void CrashReplica(size_t k, size_t r) { remote_endpoint(k, r)->Crash(); }
   /// Revives the replica's device — fault layer, crashed endpoint, and
   /// partitioned link alike — and re-admits it to shard k's mirror for
-  /// repair (requires replicas > 1).
+  /// repair (requires replicas > 1; InvalidArgument for a (k, r) outside
+  /// the set).
   Status ReviveAndRepair(size_t k, size_t r);
 
   /// Any shard still owing repair copy work?

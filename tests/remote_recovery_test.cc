@@ -38,7 +38,6 @@ VolumeSet::Options RemoteQuorumOptions(int quarantine_after,
   options.total_blocks = total_blocks;
   options.block_size = 512;
   options.fault_plan = [](size_t, size_t) { return FaultPlan{}; };
-  options.replication.quorum = true;
   options.replication.write_quorum = 1;
   options.replication.read_quorum = 1;
   options.replication.quarantine_after = quarantine_after;
@@ -309,7 +308,6 @@ struct RemoteReplicatedSystem {
     options.total_blocks = 768;
     options.block_size = 4096;
     options.fault_plan = [](size_t, size_t) { return FaultPlan{}; };
-    options.replication.quorum = true;
     options.replication.write_quorum = 1;
     options.replication.read_quorum = 1;
     options.remote = [](size_t, size_t r) { return r == 1; };

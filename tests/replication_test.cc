@@ -1,9 +1,11 @@
-// Fault-matrix suite for the mirrored shard layer: ReplicatedBlockDevice
-// write-all/read-one semantics, rotation, failover, quarantine, degraded
-// mode and incremental repair; VolumeSet kill/revive/repair plumbing; a
-// crash-consistency scenario (one replica of one shard dies mid
-// flush-cascade, serving continues, repair re-mirrors it); and the
-// oblivious-replication pin — per-replica traces, including failover and
+// Fault-matrix suite for the mirrored shard layer: ReplicatedBlockDevice's
+// one protocol (per-block version stamps, W/R quorums, lagging replicas,
+// read-repair; plain write-all / read-one while no write is missed) with
+// rotation, failover, quarantine, degraded mode and incremental repair;
+// VolumeSet kill/revive/repair plumbing; a crash-consistency scenario
+// (one replica of one shard dies mid flush-cascade, serving continues,
+// repair re-mirrors it); a golden of the fault-free replica streams; and
+// the oblivious-replication pin — per-replica traces, including failover and
 // repair traffic, depend on the request pattern and fault schedule only,
 // never on record contents.
 
@@ -108,26 +110,86 @@ TEST(ReplicatedDeviceTest, ReadFailoverThenQuarantineAfterThreshold) {
   EXPECT_TRUE(steghide::testing::BlockEquals(*fx.mems[1], 0, image));
 }
 
-TEST(ReplicatedDeviceTest, MissedWriteQuarantinesImmediately) {
+TEST(ReplicatedDeviceTest, MissedWriteLeavesReplicaLaggingUntilCurrent) {
   MirrorFixture fx(2, 8);
+  ASSERT_TRUE(FillGolden(*fx.rep, 3).ok());
   fx.faults[1]->Kill();
   const Bytes image = GoldenBlock(4, 5, 512);
-  // The write succeeds (replica 0 has it) but replica 1 is now stale and
-  // must never serve a read again until repaired.
+  // The write succeeds (replica 0 has it); replica 1 missed it, so its
+  // stamp for block 5 is stale and it drops to lagging, not quarantine.
   ASSERT_TRUE(fx.rep->WriteBlock(5, image.data()).ok());
-  EXPECT_EQ(fx.rep->replica_state(1), ReplicaState::kQuarantined);
-  EXPECT_EQ(fx.rep->stats().quarantines, 1u);
+  EXPECT_EQ(fx.rep->replica_state(1), ReplicaState::kLagging);
+  EXPECT_EQ(fx.rep->stale_blocks(1), 1u);
+  ReplicationStats stats = fx.rep->stats();
+  EXPECT_EQ(stats.quarantines, 0u);
+  EXPECT_EQ(stats.write_quorum_failures, 0u);
 
   fx.faults[1]->Revive();
-  // Still quarantined after revival: health is a mirror property, not a
-  // device property. All reads come from replica 0.
-  const size_t before = fx.ReadCount(1);
+  // Still lagging after revival: health is a mirror property, not a
+  // device property. The lagging replica keeps serving the blocks it
+  // holds at the latest stamp...
+  const auto reads_of = [&](size_t r, uint64_t block) {
+    size_t n = 0;
+    for (const TraceEvent& ev : fx.traces[r]->trace()) {
+      if (ev.kind == TraceEvent::Kind::kRead && ev.block_id == block) ++n;
+    }
+    return n;
+  };
   Bytes out(512);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fx.rep->ReadBlock(2, out.data()).ok());
+    EXPECT_EQ(out, GoldenBlock(3, 2, 512));
+  }
+  EXPECT_EQ(reads_of(1, 2), 1u);
+  EXPECT_EQ(fx.rep->replica_state(1), ReplicaState::kLagging);
+  EXPECT_FALSE(steghide::testing::BlockEquals(*fx.mems[1], 5, image));
+
+  // ...but never the block it missed, even when rotation puts it first:
+  // replica 0 serves it, and read-repair pushes the fresh image back,
+  // which makes replica 1 current again and promotes it.
+  ASSERT_TRUE(fx.rep->ReadBlock(5, out.data()).ok());
+  EXPECT_EQ(out, image);
+  EXPECT_EQ(reads_of(1, 5), 0u);
+  EXPECT_EQ(fx.rep->stats().read_repairs, 1u);
+  EXPECT_TRUE(steghide::testing::BlockEquals(*fx.mems[1], 5, image));
+  EXPECT_EQ(fx.rep->stale_blocks(1), 0u);
+  EXPECT_EQ(fx.rep->replica_state(1), ReplicaState::kHealthy);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(fx.rep->ReadBlock(5, out.data()).ok());
     EXPECT_EQ(out, image);
   }
-  EXPECT_EQ(fx.ReadCount(1), before);
+  EXPECT_EQ(reads_of(1, 5), 2u);
+
+  // quarantine_after = 3 consecutive missed writes bench the replica;
+  // every one of them still succeeds on replica 0.
+  fx.faults[1]->Kill();
+  for (uint64_t b = 0; b < 3; ++b) {
+    EXPECT_EQ(fx.rep->replica_state(1), b == 0 ? ReplicaState::kHealthy
+                                               : ReplicaState::kLagging);
+    const Bytes update = GoldenBlock(5, b, 512);
+    ASSERT_TRUE(fx.rep->WriteBlock(b, update.data()).ok()) << "block " << b;
+  }
+  EXPECT_EQ(fx.rep->replica_state(1), ReplicaState::kQuarantined);
+  stats = fx.rep->stats();
+  EXPECT_EQ(stats.quarantines, 1u);
+  EXPECT_EQ(stats.write_quorum_failures, 0u);
+
+  // Only a repair sweep makes it current (and serving) again.
+  fx.faults[1]->Revive();
+  ASSERT_TRUE(fx.rep->StartRepair(1).ok());
+  bool more = true;
+  while (more) {
+    ASSERT_TRUE(fx.rep->RepairStep(4, &more).ok());
+  }
+  EXPECT_EQ(fx.rep->replica_state(1), ReplicaState::kHealthy);
+  EXPECT_EQ(fx.rep->stale_blocks(1), 0u);
+  for (uint64_t b = 0; b < 8; ++b) {
+    Bytes a(512), c(512);
+    ASSERT_TRUE(fx.mems[0]->ReadBlock(b, a.data()).ok());
+    ASSERT_TRUE(fx.mems[1]->ReadBlock(b, c.data()).ok());
+    EXPECT_EQ(a, c) << "block " << b;
+  }
+  EXPECT_EQ(fx.rep->stats().quorum_stale_reads, 0u);
 }
 
 TEST(ReplicatedDeviceTest, NoHealthyReplicasSurfacesIoError) {
@@ -211,9 +273,9 @@ TEST(ReplicatedDeviceTest, RepairTrafficIsAFixedPublicSchedule) {
 // ReadBlocks / WriteBlocks / Flush schedule, then a manual quarantine,
 // live writes while the replicas are out, StartRepair and a RepairStep
 // sweep interleaved with more traffic. No write is ever missed, so the
-// stream every replica sees is pinned by one hash per shape: a change
-// that moves it moved the mirror's replica choice, fan-out or scrub
-// order.
+// mirror runs as plain write-all / read-one and the stream every replica
+// sees is pinned by one hash per shape: a change that moves it moved the
+// mirror's replica choice, fan-out or scrub order.
 
 struct MirrorGoldenShape {
   size_t replicas;
@@ -332,12 +394,11 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// ---- Quorum mode (R = 3): W/R windows, concurrent quarantines, ----------
+// ---- Quorums (R = 3): W/R windows, concurrent quarantines, --------------
 // ---- repair racing live writes ------------------------------------------
 
 ReplicationOptions QuorumOptions(size_t w, size_t r, int quarantine_after) {
   ReplicationOptions options;
-  options.quorum = true;
   options.write_quorum = w;
   options.read_quorum = r;
   options.quarantine_after = quarantine_after;
@@ -576,6 +637,29 @@ TEST(VolumeSetReplicationTest, ReviveAndRepairRequiresReplication) {
   auto pending = volumes.PumpRepair(8);
   ASSERT_TRUE(pending.ok());
   EXPECT_FALSE(*pending);
+}
+
+TEST(VolumeSetReplicationTest, ReviveAndRepairRejectsUnknownReplica) {
+  VolumeSet::Options options;
+  options.shards = 2;
+  options.replicas = 2;
+  options.total_blocks = 16;
+  options.block_size = 512;
+  options.fault_plan = [](size_t, size_t) { return FaultPlan{}; };
+  VolumeSet volumes(options);
+  EXPECT_EQ(volumes.ReviveAndRepair(2, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(volumes.ReviveAndRepair(0, 2).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(volumes.ReviveAndRepair(7, 9).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(volumes.repair_pending());
+  for (size_t k = 0; k < 2; ++k) {
+    for (size_t r = 0; r < 2; ++r) {
+      EXPECT_EQ(volumes.replicated(k)->replica_state(r),
+                ReplicaState::kHealthy);
+    }
+  }
 }
 
 }  // namespace
